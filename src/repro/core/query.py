@@ -5,18 +5,18 @@ embedding (relations dropped), and an ANN search over the stored class
 embeddings returns the top-``k`` candidate patches, which are grouped into
 candidate key frames.
 
-Stage 2 — **cross-modality rerank**: the candidate frames are re-encoded with
-the full-dimensional visual encoder and scored by the cross-modality
-transformer against the complete query (including relational tokens evaluated
-over the predicted boxes).  The top-``n`` frames with their refined bounding
-boxes are returned.
+Stage 2 — **cross-modality rerank**: the candidate frames' full-dimensional
+patch encodings — built once at ingest, never per query — are scored by the
+cross-modality transformer against the complete query (including relational
+tokens evaluated over the predicted boxes).  The top-``n`` frames with their
+refined bounding boxes are returned.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, MutableMapping, Optional, Sequence, Tuple, Union
 
 from repro.config import QueryConfig
 from repro.core.results import BatchQueryResponse, ObjectQueryResult, QueryResponse
@@ -29,8 +29,10 @@ from repro.encoders.cross_modal import (
     RerankResult,
 )
 from repro.encoders.text import ParsedQuery, TextEncoder
+from repro.encoders.vision import PatchEncoding
 from repro.errors import QueryError
 from repro.obs.trace import span as obs_span
+from repro.utils.locking import create_lock
 from repro.utils.timing import PhaseTimer
 from repro.vectordb.collection import SearchHit
 from repro.video.model import Frame
@@ -254,8 +256,37 @@ def as_query_batch(
     return texts, merged
 
 
+def candidates_from_encodings(encodings: Iterable[PatchEncoding]) -> Dict[str, FrameCandidate]:
+    """Group patch encodings into one rerank candidate per frame.
+
+    The candidates share the encodings' ``embedding`` arrays and ``box``
+    objects; nothing is copied.
+    """
+    patches: Dict[str, List[CandidatePatch]] = {}
+    for encoding in encodings:
+        patches.setdefault(encoding.frame_id, []).append(
+            CandidatePatch(
+                patch_id=encoding.patch_id,
+                embedding=encoding.embedding,
+                box=encoding.box,
+                objectness=encoding.objectness,
+            )
+        )
+    return {
+        frame_id: FrameCandidate(frame_id=frame_id, patches=tuple(frame_patches))
+        for frame_id, frame_patches in patches.items()
+    }
+
+
 class QueryStrategy:
-    """Implements Algorithm 2 over a populated :class:`LOVOStorage`."""
+    """Implements Algorithm 2 over a populated :class:`LOVOStorage`.
+
+    ``frame_candidates`` maps each key frame to its rerank candidate.  The
+    owner fills it at ingest from the encodings ingest already computed, so
+    a query never re-encodes a frame; only a frame missing from it (after a
+    snapshot load, which stores no encodings) is encoded, once, and stored
+    back.
+    """
 
     def __init__(
         self,
@@ -265,6 +296,7 @@ class QueryStrategy:
         storage: LOVOStorage,
         frame_registry: Mapping[str, Frame],
         frame_scene: Mapping[str, str],
+        frame_candidates: MutableMapping[str, FrameCandidate],
         config: QueryConfig | None = None,
     ) -> None:
         self._text_encoder = text_encoder
@@ -274,6 +306,8 @@ class QueryStrategy:
         self._frames = frame_registry
         self._frame_scene = frame_scene
         self._config = config or QueryConfig()
+        self._candidates = frame_candidates
+        self._candidate_lock = create_lock("QueryStrategy._candidate_lock")
 
     @property
     def config(self) -> QueryConfig:
@@ -305,7 +339,9 @@ class QueryStrategy:
             with timer.phase("rerank"), obs_span(
                 "rerank", num_candidates=len(candidate_frames)
             ):
-                results = self._rerank(parsed, candidate_frames, top_n)
+                candidates = self._frame_candidates(candidate_frames)
+                reranked = self._reranker.rerank(parsed, candidates, top_n=top_n)
+                results = self._results_from_rerank(reranked)
         else:
             results = self._results_from_fast_search(patch_hits, top_n)
 
@@ -327,13 +363,12 @@ class QueryStrategy:
         """Execute ``m`` complex object queries in one engine pass.
 
         Stage 1 embeds every query with one vectorized text-encoder pass and
-        runs one multi-query ANN search.  Stage 2 reranks over the *union* of
-        the per-query candidate frames, so each distinct frame is re-encoded
-        exactly once no matter how many queries retrieved it — that sharing is
-        where the batch path beats ``m`` sequential :meth:`query` calls.  Each
-        query's hits and scores are identical to what a sequential call would
-        return.  Requests may be strings or :class:`QueryRequest` objects but
-        must share one :class:`QueryOptions` (the batch runs as one pass).
+        runs one multi-query ANN search.  Stage 2 looks up the *union* of the
+        per-query candidate frames once, then reranks each distinct query
+        over its own candidates.  Each query's hits and scores are identical
+        to what a sequential call would return.  Requests may be strings or
+        :class:`QueryRequest` objects but must share one
+        :class:`QueryOptions` (the batch runs as one pass).
         """
         texts, batch_options = as_query_batch(
             requests, top_n, options, caller="QueryStrategy.query_batch"
@@ -370,11 +405,7 @@ class QueryStrategy:
                 for candidate_frames, _ in grouped.values():
                     for frame_id in candidate_frames:
                         union.setdefault(frame_id, None)
-                # Each distinct candidate frame is re-encoded exactly once for
-                # the whole batch, no matter how many queries retrieved it.
-                shared = {
-                    frame_id: self._frame_candidate(frame_id) for frame_id in union
-                }
+                shared = dict(zip(union, self._frame_candidates(list(union))))
                 for parsed in unique:
                     candidate_frames, patch_hits = grouped[parsed]
                     if not candidate_frames:
@@ -454,31 +485,35 @@ class QueryStrategy:
         candidate_frames = list(frame_order)[: self._config.max_candidate_frames]
         return candidate_frames, patch_hits
 
-    def _frame_candidate(self, frame_id: str) -> FrameCandidate:
-        """Re-encode one key frame into a rerank candidate (deterministic)."""
-        frame = self._frames.get(frame_id)
-        if frame is None:
-            raise QueryError(f"Candidate frame {frame_id!r} is not registered")
-        scene = self._frame_scene.get(frame_id, "generic")
-        encodings = self._summarizer.encode_single_frame(frame, scene=scene)
-        patches = tuple(
-            CandidatePatch(
-                patch_id=encoding.patch_id,
-                embedding=encoding.embedding,
-                box=encoding.box,
-                objectness=encoding.objectness,
-            )
-            for encoding in encodings
-        )
-        return FrameCandidate(frame_id=frame_id, patches=patches)
+    def _frame_candidates(self, frame_ids: Sequence[str]) -> List[FrameCandidate]:
+        """The rerank candidates of ``frame_ids``, in order."""
+        with obs_span("rerank.candidates", frames=len(frame_ids)) as handle:
+            handle.set("misses", sum(frame_id not in self._candidates for frame_id in frame_ids))
+            return [self._frame_candidate(frame_id) for frame_id in frame_ids]
 
-    def _rerank(
-        self, parsed: ParsedQuery, candidate_frames: List[str], top_n: int
-    ) -> List[ObjectQueryResult]:
-        """Stage 2: cross-modality rerank of the candidate frames."""
-        candidates = [self._frame_candidate(frame_id) for frame_id in candidate_frames]
-        reranked = self._reranker.rerank(parsed, candidates, top_n=top_n)
-        return self._results_from_rerank(reranked)
+    def _frame_candidate(self, frame_id: str) -> FrameCandidate:
+        """One frame's rerank candidate, encoding and storing it on a miss.
+
+        The double-checked lock makes each missed frame encode exactly once
+        even when concurrent queries miss on it together.  Encoding is
+        deterministic, so the stored candidate equals the ingest-time one
+        (and a strategy replaced by an ingest mid-query that encodes the same
+        frame again stores an equal candidate).
+        """
+        candidate = self._candidates.get(frame_id)
+        if candidate is not None:
+            return candidate
+        with self._candidate_lock:
+            candidate = self._candidates.get(frame_id)
+            if candidate is None:
+                frame = self._frames.get(frame_id)
+                if frame is None:
+                    raise QueryError(f"Candidate frame {frame_id!r} is not registered")
+                scene = self._frame_scene.get(frame_id, "generic")
+                encodings = self._summarizer.encode_single_frame(frame, scene=scene)
+                candidate = candidates_from_encodings(encodings)[frame_id]
+                self._candidates[frame_id] = candidate
+        return candidate
 
     def _results_from_rerank(
         self, reranked: Sequence[RerankResult]

@@ -85,8 +85,8 @@ class VideoSummarizer:
 
         Returns:
             A :class:`SummaryOutput` with key frames, patch encodings, and the
-            scene label of every key frame (needed when re-encoding candidate
-            frames during rerank).
+            scene label of every key frame (needed when a loaded system
+            re-encodes a candidate frame for rerank).
         """
         timer = timer or PhaseTimer()
         output = SummaryOutput(total_frames=dataset.num_frames)
@@ -103,5 +103,5 @@ class VideoSummarizer:
         return output
 
     def encode_single_frame(self, frame: Frame, scene: str = "generic") -> List[PatchEncoding]:
-        """Encode one frame on demand (used by the rerank stage)."""
+        """Encode one frame on demand (the rerank stage's post-load miss path)."""
         return self._encoder.encode_frame(frame, scene=scene)

@@ -25,11 +25,12 @@ from repro.core.query import (
     QueryStrategy,
     as_query_batch,
     as_query_request,
+    candidates_from_encodings,
 )
 from repro.core.results import BatchQueryResponse, QueryResponse
 from repro.core.storage import LOVOStorage
 from repro.core.summary import SummaryOutput, VideoSummarizer
-from repro.encoders.cross_modal import CrossModalityReranker, RerankerConfig
+from repro.encoders.cross_modal import CrossModalityReranker, FrameCandidate, RerankerConfig
 from repro.encoders.text import TextEncoder
 from repro.errors import PersistenceError, SnapshotCorruptionError, SystemNotReadyError
 from repro.obs.trace import Tracer
@@ -46,8 +47,9 @@ class LOVO:
     Thread safety: once built (via :meth:`ingest` or :meth:`load`), the query
     path — :meth:`query` and :meth:`query_batch` — is safe to call from many
     threads at once; the shared pieces it touches (the text-encoder LRU
-    caches, the lazily built reranker layers, the phase timer) synchronize
-    internally, and everything else is read-only.  The serving subsystem
+    caches, the lazily built reranker layers, the frame candidates encoded
+    on a miss after :meth:`load`, the phase timer) synchronize internally,
+    and everything else is read-only.  The serving subsystem
     (:mod:`repro.serve`) relies on this.  :meth:`ingest` itself is serialized
     by an internal lock, but running it *concurrently with* queries gives no
     atomicity guarantee about which queries see the newly ingested data.
@@ -71,10 +73,14 @@ class LOVO:
         self._storage: Optional[LOVOStorage] = None
         self._strategy: Optional[QueryStrategy] = None
         self._frame_registry: Dict[str, Frame] = {}
+        # One rerank candidate per key frame, built from ingest's encodings
+        # (shared, not copied); bounded by the corpus like the registry.
+        self._frame_candidates: Dict[str, FrameCandidate] = {}
         self._frame_scene: Dict[str, str] = {}
         self._timer = PhaseTimer()
         self._tracer = Tracer(self._config.obs)
-        self._summary: Optional[SummaryOutput] = None
+        self._frames_processed = 0
+        self._total_frames = 0
         self._datasets: List[str] = []
         self._ingest_lock = create_lock("LOVO._ingest_lock")
         self._data_version = 0
@@ -124,7 +130,7 @@ class LOVO:
     @property
     def num_keyframes(self) -> int:
         """Number of key frames selected during ingestion."""
-        return 0 if self._summary is None else self._summary.num_keyframes
+        return len(self._frame_registry)
 
     @property
     def ingested_datasets(self) -> List[str]:
@@ -156,15 +162,7 @@ class LOVO:
                     index_config=self._config.index,
                     shard_config=self._config.shard,
                 )
-                self._strategy = QueryStrategy(
-                    text_encoder=self._text_encoder,
-                    reranker=self._reranker,
-                    summarizer=self._summarizer,
-                    storage=self._storage,
-                    frame_registry=self._frame_registry,
-                    frame_scene=self._frame_scene,
-                    config=self._config.query,
-                )
+                self._strategy = self._make_strategy()
             return self._storage
 
     def ingest(self, dataset: VideoDataset) -> SummaryOutput:
@@ -205,31 +203,29 @@ class LOVO:
 
         for frame in summary.keyframes:
             self._frame_registry[frame.frame_id] = frame
+        self._frame_candidates.update(candidates_from_encodings(summary.encodings))
         self._frame_scene.update(summary.frame_scene)
-
-        if self._summary is None:
-            self._summary = summary
-        else:
-            self._summary.keyframes.extend(summary.keyframes)
-            self._summary.encodings.extend(summary.encodings)
-            self._summary.frame_scene.update(summary.frame_scene)
-            self._summary.frames_processed += summary.frames_processed
-            self._summary.total_frames += summary.total_frames
+        self._frames_processed += summary.frames_processed
+        self._total_frames += summary.total_frames
         self._datasets.append(dataset_name)
 
-        self._strategy = QueryStrategy(
+        self._strategy = self._make_strategy()
+        # Bumped last: by the time any cache observes the new epoch, the
+        # strategy above is already serving the newly indexed data.
+        self._data_version += 1
+        return summary
+
+    def _make_strategy(self) -> QueryStrategy:
+        return QueryStrategy(
             text_encoder=self._text_encoder,
             reranker=self._reranker,
             summarizer=self._summarizer,
             storage=self._storage,
             frame_registry=self._frame_registry,
             frame_scene=self._frame_scene,
+            frame_candidates=self._frame_candidates,
             config=self._config.query,
         )
-        # Bumped last: by the time any cache observes the new epoch, the
-        # strategy above is already serving the newly indexed data.
-        self._data_version += 1
-        return summary
 
     def query(
         self,
@@ -262,9 +258,9 @@ class LOVO:
         """Answer several complex object queries in one batched engine pass.
 
         Per query, the hits and scores match :meth:`query`; the batch path
-        amortises text encoding, the ANN probes, and the re-encoding of
-        candidate frames shared between queries, so throughput scales with
-        query concurrency instead of paying the full pipeline per call.
+        amortises text encoding, the ANN probes, and the candidate-frame
+        lookups shared between queries, so throughput scales with query
+        concurrency instead of paying the full pipeline per call.
         Requests may be strings or :class:`~repro.core.query.QueryRequest`
         objects sharing one :class:`~repro.core.query.QueryOptions`; the
         ``top_n`` keyword is a deprecated shim.
@@ -302,8 +298,8 @@ class LOVO:
             keyframes=list(self._frame_registry.values()),
             frame_scene=self._frame_scene,
             datasets=self._datasets,
-            frames_processed=0 if self._summary is None else self._summary.frames_processed,
-            total_frames=0 if self._summary is None else self._summary.total_frames,
+            frames_processed=self._frames_processed,
+            total_frames=self._total_frames,
             reranker_config=asdict(self._reranker.config),
             info={"backend": self._storage.backend_status()},
         )
@@ -338,23 +334,12 @@ class LOVO:
             system._frame_registry[frame.frame_id] = frame
         system._frame_scene = dict(restored.frame_scene)
         system._datasets = list(restored.datasets)
-        # Patch encodings are ingest-time intermediates (their vectors live
-        # on in the collection), so the restored summary carries none.
-        system._summary = SummaryOutput(
-            keyframes=list(restored.keyframes),
-            frame_scene=dict(restored.frame_scene),
-            frames_processed=restored.frames_processed,
-            total_frames=restored.total_frames,
-        )
-        system._strategy = QueryStrategy(
-            text_encoder=system._text_encoder,
-            reranker=system._reranker,
-            summarizer=system._summarizer,
-            storage=restored.storage,
-            frame_registry=system._frame_registry,
-            frame_scene=system._frame_scene,
-            config=restored.config.query,
-        )
+        system._frames_processed = restored.frames_processed
+        system._total_frames = restored.total_frames
+        # Snapshots store no patch encodings (their class embeddings live on
+        # in the collection), so the frame-candidate map starts empty: each
+        # frame is encoded on its first rerank and kept from then on.
+        system._strategy = system._make_strategy()
         return system
 
     def time_distribution(self) -> Dict[str, float]:
@@ -373,4 +358,9 @@ class LOVO:
         report = dict(self._storage.storage_report())
         report["num_keyframes"] = self.num_keyframes
         report["datasets"] = list(self._datasets)
+        candidates = list(self._frame_candidates.values())
+        report["frame_candidates"] = len(candidates)
+        report["frame_candidate_bytes"] = sum(
+            patch.embedding.nbytes for candidate in candidates for patch in candidate.patches
+        )
         return report

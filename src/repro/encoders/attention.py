@@ -57,20 +57,24 @@ class CrossAttention:
     def attend(self, queries: np.ndarray, keys_values: np.ndarray) -> np.ndarray:
         """Cross-attend ``queries`` over ``keys_values``.
 
+        Both arguments may carry a leading stack axis, ``(frames, tokens,
+        dim)``: each frame then attends only within its own slice, through
+        the same per-slice matrix products as an unstacked call.
+
         Args:
-            queries: ``(num_queries, dim)`` tokens.
-            keys_values: ``(num_keys, dim)`` tokens.
+            queries: ``(..., num_queries, dim)`` tokens.
+            keys_values: ``(..., num_keys, dim)`` tokens.
 
         Returns:
-            ``(num_queries, dim)`` attended representations.  When there are
-            no key tokens the queries are returned unchanged.
+            ``(..., num_queries, dim)`` attended representations.  When there
+            are no key tokens the queries are returned unchanged.
         """
-        if keys_values.shape[0] == 0:
+        if keys_values.shape[-2] == 0:
             return queries.copy()
         projected_q = queries @ self._shared_qk
         projected_k = keys_values @ self._shared_qk
         projected_v = keys_values @ self._value
-        logits = projected_q @ projected_k.T / self._temperature
+        logits = projected_q @ np.swapaxes(projected_k, -1, -2) / self._temperature
         weights = softmax(logits, axis=-1)
         attended = weights @ projected_v
         # Undo the value rotation so the output stays in the concept space.

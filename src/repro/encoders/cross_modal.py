@@ -31,6 +31,7 @@ import numpy as np
 from repro.encoders.attention import CrossModalLayer
 from repro.encoders.concepts import ConceptSpace
 from repro.encoders.text import ParsedQuery, is_context_token, query_token_weights
+from repro.obs.trace import span as obs_span
 from repro.utils.geometry import (
     BoundingBox,
     box_in_center_region,
@@ -111,6 +112,17 @@ class RerankerConfig:
     extra_relation_checks: Dict[str, float] = field(default_factory=dict)
 
 
+@dataclass(frozen=True)
+class _QueryFeatures:
+    """The query-only inputs of scoring, computed once per :meth:`rerank` call."""
+
+    tokens: np.ndarray
+    normalised_tokens: np.ndarray
+    mixture: np.ndarray
+    discriminative: np.ndarray
+    companion: Optional[np.ndarray]
+
+
 class CrossModalityReranker:
     """Re-scores candidate frames by fusing text and visual features."""
 
@@ -161,9 +173,33 @@ class CrossModalityReranker:
         candidates: Sequence[FrameCandidate],
         top_n: int | None = None,
     ) -> List[RerankResult]:
-        """Rerank candidate frames against the query (Algorithm 2, stage 2)."""
-        results = [self.score_frame(query, candidate) for candidate in candidates]
-        results = [result for result in results if result is not None]
+        """Rerank candidate frames against the query (Algorithm 2, stage 2).
+
+        Query-only features are computed once per call.  The cross-modal
+        layers then run over *stacked* frames: candidates are bucketed by
+        their (objectness-filtered) patch count and each bucket goes through
+        the layer stack as one ``(frames, patches, dim)`` tensor.  Buckets are
+        never padded or flattened into a single 2D product, so every frame's
+        slice sees exactly the BLAS calls a frame scored on its own would —
+        the scores are bit-identical to scoring frame by frame.  The
+        similarity, relation and NMS decode stays per frame.
+        """
+        text = self._query_features(query)
+        scored = [
+            (candidate, patches)
+            for candidate in candidates
+            if (patches := self._scoring_patches(candidate))
+        ]
+        if text is None or not scored:
+            return []
+        image_tokens = [np.stack([patch.embedding for patch in patches]) for _, patches in scored]
+        with obs_span("rerank.cross_modal", frames=len(scored)):
+            enhanced = self._enhance(image_tokens, text.tokens)
+        with obs_span("rerank.decode", frames=len(scored)):
+            results = [
+                self._decode_frame(query, text, candidate.frame_id, patches, image, *layers_out)
+                for (candidate, patches), image, layers_out in zip(scored, image_tokens, enhanced)
+            ]
         results.sort(key=lambda result: result.score, reverse=True)
         if top_n is not None:
             results = results[:top_n]
@@ -173,26 +209,66 @@ class CrossModalityReranker:
         self, query: ParsedQuery, candidate: FrameCandidate
     ) -> Optional[RerankResult]:
         """Score a single candidate frame; ``None`` when it has no detections."""
+        results = self.rerank(query, [candidate])
+        return results[0] if results else None
+
+    def _scoring_patches(self, candidate: FrameCandidate) -> List[CandidatePatch]:
+        """The patches a frame is scored over: confident ones, else all."""
         patches = [
             patch for patch in candidate.patches
             if patch.objectness >= self._config.min_objectness
         ]
-        if not patches:
-            patches = list(candidate.patches)
-        if not patches:
+        return patches or list(candidate.patches)
+
+    def _query_features(self, query: ParsedQuery) -> Optional[_QueryFeatures]:
+        """Everything the scoring needs from the query alone; ``None`` if no tokens."""
+        tokens, kinds, names = self._text_tokens(query)
+        if tokens.shape[0] == 0:
             return None
+        companion = None
+        if query.relation_tokens and query.companion_tokens:
+            companion = self._space.encode(list(query.companion_tokens))
+        return _QueryFeatures(
+            tokens=tokens,
+            normalised_tokens=self._normalised(tokens),
+            mixture=self._space.encode(
+                list(query.object_tokens), weights=query_token_weights(query.object_tokens)
+            ),
+            discriminative=np.array(
+                [kind == "object" and not is_context_token(token)
+                 for token, kind in zip(names, kinds)]
+            ),
+            companion=companion,
+        )
 
-        image_tokens = np.stack([patch.embedding for patch in patches])
-        text_tokens, token_kinds, token_names = self._text_tokens(query)
-        if text_tokens.shape[0] == 0:
-            return None
+    def _enhance(
+        self, image_tokens: Sequence[np.ndarray], text_tokens: np.ndarray
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Run the enhancer and decoder layers; per frame (enhanced image, text)."""
+        buckets: Dict[int, List[int]] = {}
+        for index, tokens in enumerate(image_tokens):
+            buckets.setdefault(tokens.shape[0], []).append(index)
+        enhanced: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        layers = self._enhancer_layers + self._decoder_layers
+        for members in buckets.values():
+            image = np.stack([image_tokens[index] for index in members])
+            text = np.repeat(text_tokens[None], len(members), axis=0)
+            for layer in layers:
+                image, text = layer.apply(image, text)
+            enhanced.update(zip(members, zip(image, text)))
+        return [enhanced[index] for index in range(len(image_tokens))]
 
-        enhanced_image, enhanced_text = image_tokens, text_tokens
-        for layer in self._enhancer_layers:
-            enhanced_image, enhanced_text = layer.apply(enhanced_image, enhanced_text)
-        for layer in self._decoder_layers:
-            enhanced_image, enhanced_text = layer.apply(enhanced_image, enhanced_text)
-
+    def _decode_frame(
+        self,
+        query: ParsedQuery,
+        text: _QueryFeatures,
+        frame_id: str,
+        patches: Sequence[CandidatePatch],
+        image_tokens: np.ndarray,
+        enhanced_image: np.ndarray,
+        enhanced_text: np.ndarray,
+    ) -> RerankResult:
+        """Similarity, relation and NMS decode of one frame's enhanced tokens."""
         # Appearance alignment has two parts, both computed per image token:
         #
         # * a *mixture* similarity against the whole query phrase (the same
@@ -202,33 +278,28 @@ class CrossModalityReranker:
         #   discriminative tokens (category, attributes, activity; context is
         #   excluded) — so a grey car cannot outrank a red car on the query
         #   "red car" just because both are cars.
-        query_mixture = self._space.encode(
-            list(query.object_tokens), weights=query_token_weights(query.object_tokens)
+        raw_image = self._normalised(image_tokens)
+        enhanced_image = self._normalised(enhanced_image)
+        mixture_similarity = (
+            0.7 * (raw_image @ text.mixture) + 0.3 * (enhanced_image @ text.mixture)
         )
-        raw_mixture_similarity = self._normalised(image_tokens) @ query_mixture
-        enhanced_mixture_similarity = self._normalised(enhanced_image) @ query_mixture
-        mixture_similarity = 0.7 * raw_mixture_similarity + 0.3 * enhanced_mixture_similarity
 
-        discriminative_mask = np.array(
-            [kind == "object" and not is_context_token(token)
-             for token, kind in zip(token_names, token_kinds)]
-        )
-        raw_similarity = self._normalised(image_tokens) @ self._normalised(text_tokens).T
-        enhanced_similarity = self._normalised(enhanced_image) @ self._normalised(enhanced_text).T
+        raw_similarity = raw_image @ text.normalised_tokens.T
+        enhanced_similarity = enhanced_image @ self._normalised(enhanced_text).T
         token_similarity = 0.7 * raw_similarity + 0.3 * enhanced_similarity
-        if discriminative_mask.any():
-            conjunctive = token_similarity[:, discriminative_mask].min(axis=1)
+        if text.discriminative.any():
+            conjunctive = token_similarity[:, text.discriminative].min(axis=1)
         else:
             conjunctive = token_similarity.min(axis=1)
 
         appearance = 0.6 * mixture_similarity + 0.4 * conjunctive
 
-        relation = self._relation_scores(query, patches)
+        relation = self._relation_scores(query, patches, text.companion)
         combined = appearance + relation
         detections = self._decode_detections(patches, combined, appearance, relation)
         best = detections[0]
         return RerankResult(
-            frame_id=candidate.frame_id,
+            frame_id=frame_id,
             score=best.score,
             box=best.box,
             patch_id=best.patch_id,
@@ -296,17 +367,16 @@ class CrossModalityReranker:
         return np.stack(tokens), kinds, names
 
     def _relation_scores(
-        self, query: ParsedQuery, patches: Sequence[CandidatePatch]
+        self,
+        query: ParsedQuery,
+        patches: Sequence[CandidatePatch],
+        companion_vector: Optional[np.ndarray],
     ) -> np.ndarray:
         """Geometric evaluation of relational tokens over predicted boxes."""
         scores = np.zeros(len(patches), dtype=np.float64)
         relations = set(query.relation_tokens)
         if not relations:
             return scores
-
-        companion_vector = None
-        if query.companion_tokens:
-            companion_vector = self._space.encode(list(query.companion_tokens))
 
         for index, patch in enumerate(patches):
             total = 0.0

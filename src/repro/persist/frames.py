@@ -1,8 +1,9 @@
 """JSON codec for the frame registry (key frames and their annotations).
 
-The rerank stage re-encodes candidate key frames on demand, so a snapshot
-must carry the full :class:`~repro.video.model.Frame` objects — object
-annotations included — not just frame ids.  Everything here is plain JSON;
+Snapshots store no patch encodings: a loaded system re-encodes each
+candidate key frame on its first rerank, so a snapshot must carry the full
+:class:`~repro.video.model.Frame` objects — object annotations included —
+not just frame ids.  Everything here is plain JSON;
 Python's ``json`` round-trips ``float`` exactly (``repr`` shortest-round-trip
 semantics), so re-encoded embeddings are bit-identical after a load.
 """

@@ -1,7 +1,7 @@
 """Micro-batching scheduler: coalesce concurrent queries into engine batches.
 
 The batched engine (``LOVO.query_batch``) amortises text encoding, the ANN
-probes, and candidate-frame re-encoding across a batch — but only if someone
+probes, and candidate-frame lookups across a batch — but only if someone
 actually forms batches.  Under concurrent load, requests arrive one at a time
 from independent callers; the :class:`MicroBatcher` sits between them and the
 engine, holding the admission queue and handing worker threads *coalesced*

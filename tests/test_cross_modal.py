@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.encoders.concepts import ConceptSpace
@@ -170,3 +171,42 @@ class TestDetections:
         assert scores == sorted(scores, reverse=True)
         assert ranked[0].frame_id == "f-red"
         assert ranked[-1].frame_id == "f-dog"
+
+
+class TestStackedFrames:
+    """Frames run through the layers stacked per patch-count bucket must score
+    exactly as each frame run on its own (the plain 2D per-frame loop)."""
+
+    def test_enhance_matches_the_per_frame_loop(self, space, reranker):
+        rng = np.random.default_rng(0)
+        image_tokens = [rng.normal(size=(n, space.dim)) for n in (3, 5, 3, 1, 5, 5, 2)]
+        text_tokens = rng.normal(size=(4, space.dim))
+        stacked = reranker._enhance(image_tokens, text_tokens)
+        layers = reranker._enhancer_layers + reranker._decoder_layers
+        for tokens, (image, text) in zip(image_tokens, stacked):
+            expected_image, expected_text = tokens, text_tokens
+            for layer in layers:
+                expected_image, expected_text = layer.apply(expected_image, expected_text)
+            assert np.array_equal(image, expected_image)
+            assert np.array_equal(text, expected_text)
+
+    @pytest.mark.parametrize("text", [
+        "a red car driving on the road",
+        "a red car side by side with another car in the center of the road",
+        "a person walking next to a dog",
+    ])
+    def test_rerank_equals_each_frame_scored_alone(self, space, parser, reranker, text):
+        rng = np.random.default_rng(1)
+        vocabulary = ["car", "red", "grey", "road", "person", "dog", "white", "driving"]
+        frames = []
+        for index, size in enumerate((2, 3, 2, 4, 3, 3, 1)):
+            specs = []
+            for _ in range(size):
+                tokens = list(rng.choice(vocabulary, size=3, replace=False))
+                x, y = rng.uniform(0.0, 0.8, size=2)
+                specs.append((tokens, BoundingBox(x, y, 0.15, 0.1)))
+            frames.append(candidate(space, f"f{index}", specs))
+        query = parser.parse(text)
+        alone = [reranker.score_frame(query, frame) for frame in frames]
+        alone.sort(key=lambda result: result.score, reverse=True)
+        assert reranker.rerank(query, frames) == alone
