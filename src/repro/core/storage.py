@@ -162,15 +162,14 @@ class LOVOStorage:
             self._collection.flush()
 
     def search(self, query_vector: np.ndarray, k: int, use_ann: bool = True) -> List[SearchHit]:
-        """Top-``k`` patch search; exhaustive when ``use_ann`` is false."""
-        if use_ann:
-            return self._collection.search(query_vector, k)
-        return self._collection.search_exhaustive(query_vector, k)
+        """Top-``k`` patch search for one query vector (a batch of one)."""
+        return self.search_batch(query_vector, k, use_ann)[0]
 
     def search_batch(
         self, query_vectors: np.ndarray, k: int, use_ann: bool = True
     ) -> List[List[SearchHit]]:
-        """Top-``k`` patch search for ``m`` query vectors at once."""
+        """Top-``k`` patch search for ``m`` query vectors at once; exhaustive
+        when ``use_ann`` is false."""
         if use_ann:
             return self._collection.search_batch(query_vectors, k)
         return self._collection.search_exhaustive_batch(query_vectors, k)

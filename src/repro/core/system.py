@@ -228,30 +228,19 @@ class LOVO:
         )
 
     def query(
-        self,
-        request: str | QueryRequest,
-        top_n: int | None = None,
-        *,
-        options: QueryOptions | None = None,
+        self, request: str | QueryRequest, *, options: QueryOptions | None = None
     ) -> QueryResponse:
-        """Answer one complex object query (Algorithm 2).
+        """Answer one complex object query (Algorithm 2) as a batch of one.
 
-        Accepts a query string or a canonical :class:`~repro.core.query.
-        QueryRequest`.  The ``top_n`` keyword keeps working but is deprecated
-        in favour of ``options=QueryOptions(top_n=...)``.
+        Accepts a query string (with optional ``options``) or a canonical
+        :class:`~repro.core.query.QueryRequest`.
         """
-        if self._strategy is None:
-            raise SystemNotReadyError("Call ingest() before query()")
-        coerced = as_query_request(request, top_n, options, caller="LOVO.query")
-        response = self._strategy.query(coerced)
-        for phase, seconds in response.timings.items():
-            self._timer.add(phase, seconds)
-        return response
+        coerced = as_query_request(request, options, caller="LOVO.query")
+        return self._run("query", [coerced.text], coerced.options).responses[0]
 
     def query_batch(
         self,
         requests: Sequence[str | QueryRequest],
-        top_n: int | None = None,
         *,
         options: QueryOptions | None = None,
     ) -> BatchQueryResponse:
@@ -262,15 +251,17 @@ class LOVO:
         lookups shared between queries, so throughput scales with query
         concurrency instead of paying the full pipeline per call.
         Requests may be strings or :class:`~repro.core.query.QueryRequest`
-        objects sharing one :class:`~repro.core.query.QueryOptions`; the
-        ``top_n`` keyword is a deprecated shim.
+        objects sharing one :class:`~repro.core.query.QueryOptions`.
         """
-        if self._strategy is None:
-            raise SystemNotReadyError("Call ingest() before query_batch()")
-        texts, batch_options = as_query_batch(
-            requests, top_n, options, caller="LOVO.query_batch"
-        )
-        batch = self._strategy.query_batch(texts, options=batch_options)
+        texts, batch_options = as_query_batch(requests, options, caller="LOVO.query_batch")
+        return self._run("query_batch", texts, batch_options)
+
+    def _run(self, caller: str, texts: List[str], options: QueryOptions) -> BatchQueryResponse:
+        """The one Algorithm 2 pass behind :meth:`query` and :meth:`query_batch`."""
+        strategy = self._strategy
+        if strategy is None:
+            raise SystemNotReadyError(f"Call ingest() before {caller}()")
+        batch = strategy.query_batch(texts, options)
         for phase, seconds in batch.timings.items():
             self._timer.add(phase, seconds)
         return batch

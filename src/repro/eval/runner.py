@@ -25,7 +25,7 @@ class VideoQuerySystem(Protocol):
     def ingest(self, dataset: VideoDataset) -> object:
         """One-time (or per-system) video processing."""
 
-    def query(self, text: str, top_n: int | None = None) -> QueryResponse:
+    def query(self, text: str) -> QueryResponse:
         """Answer one object query."""
 
 
@@ -37,7 +37,7 @@ class BatchVideoQuerySystem(VideoQuerySystem, Protocol):
     experiments exercise LOVO's batched engine.
     """
 
-    def query_batch(self, texts: Sequence[str], top_n: int | None = None) -> object:
+    def query_batch(self, texts: Sequence[str]) -> object:
         """Answer several object queries in one pass."""
 
 

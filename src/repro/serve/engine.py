@@ -25,6 +25,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future
+from concurrent.futures import TimeoutError as FutureTimeoutError
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
@@ -303,16 +304,12 @@ class ServingEngine:
         self.stop()
 
     def submit(
-        self,
-        request: "str | QueryRequest",
-        top_n: int | None = None,
-        *,
-        options: QueryOptions | None = None,
+        self, request: "str | QueryRequest", *, options: QueryOptions | None = None
     ) -> "Future[QueryResponse]":
         """Submit one query; returns a future resolving to its response.
 
-        Accepts a query string or a canonical :class:`~repro.core.query.
-        QueryRequest` (the ``top_n`` keyword is a deprecated shim).  Raises
+        Accepts a query string (with optional ``options``) or a canonical
+        :class:`~repro.core.query.QueryRequest`.  Raises
         :class:`~repro.errors.ServiceOverloadedError` when the admission
         queue is full and :class:`~repro.errors.QueryError` for requests the
         engine could never answer (validated here so one bad query cannot
@@ -320,7 +317,7 @@ class ServingEngine:
         """
         if not self._running:
             raise ServingError("ServingEngine is not running; call start() first")
-        coerced = as_query_request(request, top_n, options, caller="ServingEngine.submit")
+        coerced = as_query_request(request, options, caller="ServingEngine.submit")
         text = coerced.text
         self._metrics.record_request()
 
@@ -357,11 +354,7 @@ class ServingEngine:
                 return future
 
         pending = PendingQuery(
-            text=text,
-            top_n=coerced.options.top_n,
-            enqueued_at=started,
-            options=coerced.options,
-            trace=trace,
+            text=text, options=coerced.options, enqueued_at=started, trace=trace
         )
         try:
             self._batcher.submit(pending)
@@ -384,23 +377,28 @@ class ServingEngine:
     def query(
         self,
         request: "str | QueryRequest",
-        top_n: int | None = None,
         timeout: float | None = None,
         *,
         options: QueryOptions | None = None,
     ) -> QueryResponse:
-        """Submit one query and block for its response (HTTP-path helper)."""
+        """Submit one query and block for its response (HTTP-path helper).
+
+        On timeout the request is cancelled before the ``TimeoutError``
+        propagates, so no worker runs a query nobody is waiting for.
+        """
         effective_timeout = (
             timeout if timeout is not None else self._config.request_timeout_seconds
         )
-        return self.submit(request, top_n=top_n, options=options).result(
-            timeout=effective_timeout
-        )
+        future = self.submit(request, options=options)
+        try:
+            return future.result(timeout=effective_timeout)
+        except FutureTimeoutError:
+            future.cancel()
+            raise
 
     def query_many(
         self,
         requests: Sequence["str | QueryRequest"],
-        top_n: int | None = None,
         timeout: float | None = None,
         *,
         options: QueryOptions | None = None,
@@ -409,7 +407,9 @@ class ServingEngine:
 
         Unlike ``LOVO.query_batch`` this goes through admission control and
         the shared micro-batcher, so the queries may be coalesced with other
-        callers' — or rejected under overload like any other submission.
+        callers' — or rejected under overload like any other submission.  On
+        timeout every request not yet answered is cancelled before the
+        ``TimeoutError`` propagates.
         """
         effective_timeout = (
             timeout if timeout is not None else self._config.request_timeout_seconds
@@ -418,7 +418,7 @@ class ServingEngine:
         # rejection cancel what was already admitted — otherwise a failed
         # batch would still consume worker capacity (exactly when overloaded).
         coerced = [
-            as_query_request(request, top_n, options, caller="ServingEngine.query_many")
+            as_query_request(request, options, caller="ServingEngine.query_many")
             for request in requests
         ]
         futures: List["Future[QueryResponse]"] = []
@@ -432,10 +432,15 @@ class ServingEngine:
         # One deadline for the whole batch: the timeout bounds the caller's
         # total wait, not each future's individually.
         deadline = time.perf_counter() + effective_timeout
-        return [
-            future.result(timeout=max(deadline - time.perf_counter(), 0.0))
-            for future in futures
-        ]
+        try:
+            return [
+                future.result(timeout=max(deadline - time.perf_counter(), 0.0))
+                for future in futures
+            ]
+        except FutureTimeoutError:
+            for future in futures:
+                future.cancel()
+            raise
 
     def stats(self) -> Dict[str, object]:
         """Service metrics plus queue, cache, and pool state for ``/stats``."""
@@ -511,7 +516,7 @@ class ServingEngine:
         # group by it; almost every real batch is a single group.
         groups: Dict[QueryOptions, List[PendingQuery]] = {}
         for pending in live:
-            groups.setdefault(pending.effective_options(), []).append(pending)
+            groups.setdefault(pending.options, []).append(pending)
         for group_options, group in groups.items():
             self._process_group(group_options, group)
 

@@ -195,20 +195,10 @@ class ShardRouter:
 
     @staticmethod
     def _result_size(result: object) -> Optional[int]:
-        """Candidate count of one shard call's result, when it is hit-shaped.
-
-        ``search`` answers a list of hits, ``search_batch`` a list of
-        per-query hit lists; anything else (ids, stats dicts) has no
-        candidate count and stays unannotated.
-        """
-        if not isinstance(result, list):
-            return None
-        if not result:
-            return 0
-        if all(isinstance(entry, list) for entry in result):
+        """Candidate count of one shard call's result: the hits across its
+        per-query lists (``None`` for anything not shaped like that)."""
+        if isinstance(result, list) and all(isinstance(entry, list) for entry in result):
             return sum(len(entry) for entry in result)
-        if all(isinstance(entry, SearchHit) for entry in result):
-            return len(result)
         return None
 
     def _call_with_failover(self, group: ReplicaGroup, fn: Callable[[object], T]) -> T:

@@ -116,28 +116,18 @@ class VectorIndex(abc.ABC):
         """Finalise the index (train quantizers, build graphs); idempotent."""
 
     @abc.abstractmethod
-    def search(self, query: np.ndarray, k: int) -> List[IndexHit]:
-        """Return the top-``k`` hits by inner-product similarity.
-
-        Every index follows the same edge-case contract: ``k <= 0`` and an
-        empty index both yield ``[]``, and ``k > ntotal`` returns at most
-        ``ntotal`` hits (approximate indexes may return fewer).
-        """
-
     def search_batch(self, queries: np.ndarray, k: int) -> List[List[IndexHit]]:
-        """Answer ``m`` queries at once; one hit list per query row.
+        """Return the top-``k`` hits by inner-product similarity, one hit list
+        per row of the ``(m, dim)`` query batch.
 
-        ``queries`` is an ``(m, dim)`` array.  The default implementation
-        falls back to ``m`` sequential :meth:`search` calls; concrete indexes
-        override it to amortise work across the batch (one matrix product on
-        the flat index, shared coarse-quantizer scoring on IVF-PQ, shared
-        validation and vector storage on HNSW).  The edge-case contract
-        matches :meth:`search` per query row.
+        Every index follows the same edge-case contract per row: ``k <= 0``
+        and an empty index both yield ``[]``, and ``k > ntotal`` returns at
+        most ``ntotal`` hits (approximate indexes may return fewer).
         """
-        batch = self._validate_query_batch(queries)
-        if k <= 0 or self.ntotal == 0:
-            return [[] for _ in range(batch.shape[0])]
-        return [self.search(row, k) for row in batch]
+
+    def search(self, query: np.ndarray, k: int) -> List[IndexHit]:
+        """Top-``k`` hits for one query vector (a batch of one)."""
+        return self.search_batch(self._validate_query(query)[None, :], k)[0]
 
     def to_state(self) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]:
         """Serialise the built index as ``(meta, arrays)``.

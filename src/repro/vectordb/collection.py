@@ -164,13 +164,8 @@ class VectorCollection:
             self._built = True
 
     def search(self, query: np.ndarray, k: int) -> List[SearchHit]:
-        """ANN search returning external ids, scores, and metadata."""
-        if self.num_entities == 0 or k <= 0:
-            return []
-        if not self._built:
-            self.flush()
-        hits = self._index.search(np.asarray(query, dtype=np.float64), k)
-        return [self._to_search_hit(hit) for hit in hits]
+        """ANN search for one query vector (a batch of one)."""
+        return self.search_batch(query, k)[0]
 
     def search_batch(self, queries: np.ndarray, k: int) -> List[List[SearchHit]]:
         """ANN search for ``m`` queries at once; one hit list per query row.
@@ -189,15 +184,12 @@ class VectorCollection:
         ]
 
     def search_exhaustive(self, query: np.ndarray, k: int) -> List[SearchHit]:
-        """Exact brute-force search regardless of the configured index.
-
-        Used by the "w/o ANNS" ablation of Table IV.
-        """
-        vector = np.asarray(query, dtype=np.float64).reshape(-1)
-        return self.search_exhaustive_batch(vector[None, :], k)[0]
+        """Exact brute-force search for one query vector (a batch of one)."""
+        return self.search_exhaustive_batch(query, k)[0]
 
     def search_exhaustive_batch(self, queries: np.ndarray, k: int) -> List[List[SearchHit]]:
-        """Exact brute-force multi-query search (batched w/o-ANNS ablation)."""
+        """Exact brute-force multi-query search regardless of the configured
+        index (the "w/o ANNS" ablation of Table IV)."""
         batch = self._as_query_matrix(queries)
         if self.num_entities == 0 or k <= 0:
             return [[] for _ in range(batch.shape[0])]

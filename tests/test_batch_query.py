@@ -3,7 +3,9 @@
 The batched engine must be a pure throughput optimisation: for every query in
 the batch — including duplicates — the returned frames, patches, and scores
 must match what a sequential ``query()`` call produces, for all three index
-families and for both ablation paths (w/o rerank, w/o ANNS).
+families and for both ablation paths (w/o rerank, w/o ANNS).  ``query(t)``
+is itself a batch of one, pinned bit for bit against
+``query_batch([t]).responses[0]``.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import LOVO, LOVOConfig
+from repro import LOVO, LOVOConfig, ShardConfig
 from repro.config import EncoderConfig, IndexConfig, KeyframeConfig, QueryConfig
 from repro.core.results import BatchQueryResponse
 from repro.errors import QueryError
@@ -73,6 +75,49 @@ def test_batch_matches_sequential_per_index(bellevue_dataset, index_type):
     assert batch.batch_size == len(texts)
     for seq_response, batch_response in zip(sequential, batch):
         assert_response_parity(seq_response, batch_response)
+
+
+def exact_key(response):
+    """Bit-exact identity of a response's ranked results (ids, boxes, scores)."""
+    return [
+        (r.frame_id, r.patch_id, r.score, r.box.to_array().tobytes())
+        for r in response.results
+    ]
+
+
+@pytest.mark.parametrize(
+    "index_type,num_shards,query_overrides",
+    [
+        ("flat", 1, {}),
+        ("ivfpq", 1, {}),
+        ("hnsw", 1, {}),
+        ("flat", 2, {}),
+        ("flat", 1, {"rerank_enabled": False}),
+        ("flat", 1, {"ann_enabled": False}),
+    ],
+    ids=["flat", "ivfpq", "hnsw", "flat-2-shards", "without-rerank", "without-anns"],
+)
+def test_query_is_a_batch_of_one(bellevue_dataset, index_type, num_shards, query_overrides):
+    config = batch_config(index_type, **query_overrides).with_overrides(
+        shard=ShardConfig(num_shards=num_shards)
+    )
+    system = LOVO(config)
+    system.ingest(bellevue_dataset)
+    for text in BELLEVUE_TEXTS:
+        single = system.query(text)
+        assert single.results
+        assert exact_key(single) == exact_key(system.query_batch([text]).responses[0])
+
+
+def test_query_without_candidate_frames_is_a_batch_of_one():
+    system = LOVO(batch_config("flat"))
+    system.ensure_storage()
+    single = system.query(BELLEVUE_TEXTS[0])
+    batch = system.query_batch([BELLEVUE_TEXTS[0]])
+    assert single.results == [] and single.metadata["num_candidates"] == 0
+    assert exact_key(single) == exact_key(batch.responses[0])
+    assert "rerank" not in single.timings
+    assert batch.metadata["num_unique_candidate_frames"] == 0
 
 
 def test_batch_first_then_sequential_agree(bellevue_dataset):
@@ -156,9 +201,9 @@ def test_run_queries_auto_detects_batch_support(bellevue_dataset, monkeypatch):
     calls = {"batch": 0}
     original = system.query_batch
 
-    def counting_batch(texts, top_n=None):
+    def counting_batch(texts):
         calls["batch"] += 1
-        return original(texts, top_n=top_n)
+        return original(texts)
 
     monkeypatch.setattr(system, "query_batch", counting_batch)
     specs = queries_for_dataset("bellevue")[:2]

@@ -120,44 +120,6 @@ class TestEdgeCaseContract:
             index.search_batch(np.ones((2, DIM + 1)), 3)
 
 
-class TestDefaultSearchBatch:
-    """The base-class fallback loops ``search`` with the shared contract."""
-
-    class LoopingIndex(VectorIndex):
-        def __init__(self, dim):
-            super().__init__(dim)
-            self._flat = FlatIndex(dim)
-
-        @property
-        def ntotal(self):
-            return self._flat.ntotal
-
-        def add(self, ids, vectors):
-            self._flat.add(ids, vectors)
-
-        def build(self):
-            self._flat.build()
-
-        def search(self, query, k):
-            return self._flat.search(query, k)
-
-    def test_fallback_matches_sequential(self):
-        vectors = unit_vectors(60)
-        index = self.LoopingIndex(DIM)
-        index.add(list(range(60)), vectors)
-        index.build()
-        queries = unit_vectors(4, seed=9)
-        for row, hits in zip(queries, index.search_batch(queries, 7)):
-            assert_hits_match(index.search(row, 7), hits)
-
-    def test_fallback_edge_cases(self):
-        empty = self.LoopingIndex(DIM)
-        assert empty.search_batch(unit_vectors(2, seed=3), 5) == [[], []]
-        populated = self.LoopingIndex(DIM)
-        populated.add([0], unit_vectors(1))
-        assert populated.search_batch(unit_vectors(2, seed=3), 0) == [[], []]
-
-
 class TestFlatBatchProperty:
     """Property-style check: parity holds for arbitrary shapes and k."""
 

@@ -12,8 +12,9 @@ import json
 import threading
 import time
 import urllib.error
+from concurrent.futures import TimeoutError as FutureTimeoutError
 import urllib.request
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import pytest
 
@@ -73,8 +74,7 @@ class StubSystem:
         self.block = block
         self._lock = threading.Lock()
 
-    def query_batch(self, texts: Sequence[str], top_n: Optional[int] = None,
-                    *, options=None):
+    def query_batch(self, texts: Sequence[str], *, options=None):
         with self._lock:
             self.calls.append(list(texts))
         self.started.set()
@@ -238,7 +238,7 @@ class TestMicroBatcher:
     def test_coalesces_up_to_max_batch_size(self):
         batcher = MicroBatcher(max_batch_size=3, max_wait_ms=50.0, queue_size=8)
         for i in range(5):
-            batcher.submit(PendingQuery(text=f"q{i}"))
+            batcher.submit(PendingQuery(text=f"q{i}", options=QueryOptions()))
         first = batcher.next_batch()
         second = batcher.next_batch()
         assert [p.text for p in first] == ["q0", "q1", "q2"]
@@ -246,18 +246,18 @@ class TestMicroBatcher:
 
     def test_backpressure_raises_when_full(self):
         batcher = MicroBatcher(max_batch_size=4, max_wait_ms=1.0, queue_size=2)
-        batcher.submit(PendingQuery(text="a"))
-        batcher.submit(PendingQuery(text="b"))
+        batcher.submit(PendingQuery(text="a", options=QueryOptions()))
+        batcher.submit(PendingQuery(text="b", options=QueryOptions()))
         with pytest.raises(ServiceOverloadedError):
-            batcher.submit(PendingQuery(text="c"))
+            batcher.submit(PendingQuery(text="c", options=QueryOptions()))
         assert batcher.depth == 2
 
     def test_close_drains_then_signals_exhaustion(self):
         batcher = MicroBatcher(max_batch_size=8, max_wait_ms=1.0, queue_size=8)
-        batcher.submit(PendingQuery(text="a"))
+        batcher.submit(PendingQuery(text="a", options=QueryOptions()))
         batcher.close()
         with pytest.raises(ServingError):
-            batcher.submit(PendingQuery(text="late"))
+            batcher.submit(PendingQuery(text="late", options=QueryOptions()))
         batch = batcher.next_batch()
         assert [p.text for p in batch] == ["a"]
         assert batcher.next_batch() is None
@@ -439,6 +439,31 @@ class TestServingEngineWithStub:
         # ...but the workers skipped them: only the held query ever executed.
         assert [call for call in stub.calls] == [["held"]]
 
+    def test_timed_out_query_is_cancelled_not_run(self):
+        stub = StubSystem(block=True)
+        with stub_engine(stub, max_batch_size=1) as engine:
+            held = engine.submit("held")
+            assert stub.started.wait(timeout=5.0)
+            with pytest.raises(FutureTimeoutError):
+                engine.query("abandoned", timeout=0.05)
+            stub.release.set()
+            held.result(timeout=5.0)
+            # Answered after the abandoned request was dequeued and dropped.
+            engine.query("after", timeout=5.0)
+        assert stub.calls == [["held"], ["after"]]
+
+    def test_timed_out_query_many_cancels_unanswered(self):
+        stub = StubSystem(block=True)
+        with stub_engine(stub, max_batch_size=1) as engine:
+            held = engine.submit("held")
+            assert stub.started.wait(timeout=5.0)
+            with pytest.raises(FutureTimeoutError):
+                engine.query_many(["a", "b"], timeout=0.05)
+            stub.release.set()
+            held.result(timeout=5.0)
+            engine.query("after", timeout=5.0)
+        assert stub.calls == [["held"], ["after"]]
+
     def test_query_many_validates_all_texts_before_admitting_any(self):
         stub = StubSystem()
         with stub_engine(stub) as engine:
@@ -475,7 +500,7 @@ class TestServingEngineWithStub:
 
     def test_engine_error_propagates_to_every_future_in_group(self):
         class ExplodingSystem(StubSystem):
-            def query_batch(self, texts, top_n=None, *, options=None):
+            def query_batch(self, texts, *, options=None):
                 raise RuntimeError("index melted")
 
         with stub_engine(ExplodingSystem(), max_batch_size=4, max_wait_ms=20.0) as engine:
@@ -587,14 +612,20 @@ class TestHTTPFrontend:
         assert payload["batch_size"] == 3
         assert [entry["query"] for entry in payload["responses"]] == texts
 
-    def test_legacy_top_n_still_accepted(self, http_service, lovo_system):
+    def test_legacy_top_n_rejected(self, http_service):
+        """Top-level ``top_n`` (like any unknown top-level field) is a 400."""
         base, _ = http_service
-        text = BELLEVUE_QUERIES[0]
-        payload = self._post(base, "/v1/query", {"query": text, "top_n": 5})
-        direct = lovo_system.query(QueryRequest(text, QueryOptions(top_n=5)))
-        assert [r["frame_id"] for r in payload["results"]] == [
-            r.frame_id for r in direct.results
-        ]
+        for path, payload, expected_code in (
+            ("/v1/query", {"query": "car", "top_n": 5}, "invalid_query"),
+            ("/v1/query_batch", {"queries": ["car"], "top_n": 5}, "bad_request"),
+            ("/v1/query_batch", {"queries": ["car"], "depth": 3}, "bad_request"),
+        ):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                self._post(base, path, payload)
+            assert excinfo.value.code == 400
+            envelope = json.load(excinfo.value)["error"]
+            assert envelope["code"] == expected_code
+            assert "Unknown" in envelope["message"]
 
     def test_healthz_and_stats(self, http_service):
         base, _ = http_service
@@ -613,7 +644,7 @@ class TestHTTPFrontend:
     @pytest.mark.parametrize(
         "path", ["/query", "/query_batch", "/healthz", "/stats"]
     )
-    def test_unversioned_paths_redirect_to_v1(self, http_service, method, path):
+    def test_unversioned_paths_are_not_found(self, http_service, method, path):
         base, _ = http_service
         body = b'{"query": "a car"}' if method == "POST" else b""
         raw = self._raw_request(
@@ -624,9 +655,9 @@ class TestHTTPFrontend:
             ).encode("ascii") + body,
         )
         head, _, payload = raw.partition(b"\r\n\r\n")
-        assert b"308" in head.split(b"\r\n", 1)[0]
-        assert f"Location: /v1{path}".encode("ascii") in head
-        assert json.loads(payload)["redirect"] == f"/v1{path}"
+        assert b"404" in head.split(b"\r\n", 1)[0]
+        assert b"Location:" not in head
+        assert json.loads(payload)["error"]["code"] == "not_found"
 
     @pytest.mark.parametrize(
         "path,payload,expected_status,expected_code",
