@@ -74,10 +74,15 @@ class BoundingBox:
         return BoundingBox(cx - new_w / 2.0, cy - new_h / 2.0, new_w, new_h)
 
     def intersection(self, other: "BoundingBox") -> float:
-        """Intersection area with ``other``."""
+        """Intersection area with ``other``.
+
+        Each overlap extent is capped at the narrower box's size: ``x2 - x``
+        can round above ``w`` (e.g. ``x=1.0`` with a tiny ``w``), which would
+        otherwise let the intersection exceed either box's area.
+        """
         ix = max(0.0, min(self.x2, other.x2) - max(self.x, other.x))
         iy = max(0.0, min(self.y2, other.y2) - max(self.y, other.y))
-        return ix * iy
+        return min(ix, self.w, other.w) * min(iy, self.h, other.h)
 
     def iou(self, other: "BoundingBox") -> float:
         """Intersection-over-union with ``other``."""
@@ -116,7 +121,7 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     union = a.area + b.area - inter
     if union <= 0.0:
         return 0.0
-    return inter / union
+    return min(inter / union, 1.0)
 
 
 def iou_matrix(boxes_a: Sequence[BoundingBox], boxes_b: Sequence[BoundingBox]) -> np.ndarray:
